@@ -39,7 +39,7 @@ def main() -> None:
     for label, model in runs.items():
         config = PDETrainerConfig(epochs=epochs, n_collocation=256, eval_every=max(1, epochs // 4))
         trainer = PDETrainer(model, problem, config)
-        trainer._reference = reference
+        trainer.task.reference = reference  # reuse the solve above
         result = trainer.train()
         print(f"\n{label}: {model.num_parameters()} parameters")
         print(f"  loss {result.loss[0]:.3e} -> {result.loss[-1]:.3e}")

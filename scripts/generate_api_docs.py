@@ -43,6 +43,9 @@ GUIDE_SECTIONS = {
     "repro.autodiff": [
         ("Tape compilation", "repro.autodiff.tape"),
     ],
+    "repro.core": [
+        ("The training loop", "repro.core.trainer"),
+    ],
     "repro.torq": [
         ("Circuit compilation", "repro.torq.compile"),
         ("Gradient backends", "repro.torq.adjoint"),

@@ -294,7 +294,7 @@ def run_pde_job(ctx: JobContext) -> dict:
         "early_stop_epoch": result.early_stop_epoch,
     }
     if p.get("final_l2", False):
-        extra["final_l2"] = float(trainer._evaluate())
+        extra["final_l2"] = float(trainer.evaluate())
     return ctx.compose_result(extra)
 
 

@@ -37,7 +37,14 @@ from .losses import (
 from .metrics import evaluate_fields, l2_relative_error, l2_relative_error_fields
 from .spectrum import dominant_harmonics, field_spectrum, pqc_output_spectrum
 from .models import CLASSICAL_DEPTHS, MaxwellPINN, MaxwellQPINN, build_model
-from .trainer import Trainer, TrainerConfig, TrainingHistory, TrainingResult
+from .trainer import (
+    LoopConfig,
+    Trainer,
+    TrainerConfig,
+    TrainingHistory,
+    TrainingResult,
+    TrainingTask,
+)
 from .weighting import ResidualAttentionWeights, TemporalCurriculum
 
 __all__ = [
@@ -47,6 +54,7 @@ __all__ = [
     "weighted_mse", "masked_mse",
     "evaluate_fields", "l2_relative_error", "l2_relative_error_fields",
     "Trainer", "TrainerConfig", "TrainingHistory", "TrainingResult",
+    "LoopConfig", "TrainingTask",
     "model_bh_indicator", "model_energy_series", "is_collapsed",
     "classify_bh_phenomenon", "BHReport",
     "OutputSpread", "output_spread", "penultimate_outputs",

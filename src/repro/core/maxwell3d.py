@@ -10,12 +10,12 @@ second-to-last layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
-from ..autodiff import Tensor, backward, grad, no_grad
+from ..autodiff import Tensor, grad, no_grad
 from ..maxwell.full3d import (
     Field3DDerivatives,
     curl_residuals_e,
@@ -25,11 +25,14 @@ from ..maxwell.full3d import (
     solenoidal_gaussian,
 )
 from ..nn import Linear, Module, Parameter
-from ..optim import Adam
 from ..solvers.spectral3d import Spectral3DSolution, SpectralVacuum3DSolver
 from ..torq.layer import QuantumLayer
+from .trainer import LoopConfig, Trainer, TrainingHistory, TrainingTask
 
-__all__ = ["Maxwell3DPINN", "Maxwell3DLoss", "Maxwell3DTrainer", "Maxwell3DResult"]
+__all__ = [
+    "Maxwell3DPINN", "Maxwell3DLoss", "Maxwell3DTrainer", "Maxwell3DResult",
+    "Maxwell3DTask",
+]
 
 _FIELDS = ("ex", "ey", "ez", "hx", "hy", "hz")
 
@@ -180,14 +183,51 @@ class Maxwell3DLoss:
 
 
 @dataclass
-class Maxwell3DResult:
-    model: object
-    loss: list = field(default_factory=list)
+class Maxwell3DResult(TrainingHistory):
+    """The loop's per-epoch history plus the trained model."""
+
+    model: object = None
     final_l2: float | None = None
 
 
-class Maxwell3DTrainer:
-    """Compact training loop for the 3-D extension."""
+class Maxwell3DTask(TrainingTask):
+    """Uniform (x, y, z, t) collocation, redrawn every ``resample_every``
+    epochs, trained on :class:`Maxwell3DLoss`; no compiled form."""
+
+    name = "maxwell3d"
+
+    def __init__(self, loss: Maxwell3DLoss, n_collocation: int,
+                 t_max: float, rng: np.random.Generator):
+        self.loss = loss
+        self.n_collocation = int(n_collocation)
+        self.t_max = float(t_max)
+        self.rng = rng
+        self.resample_every = 10
+        self.coords = None
+
+    def inputs(self, epoch: int) -> np.ndarray:
+        if self.coords is None or epoch % self.resample_every == 0:
+            coords = self.rng.uniform(-1, 1, (self.n_collocation, 4))
+            coords[:, 3] = self.rng.uniform(0, self.t_max, self.n_collocation)
+            self.coords = coords
+        return self.coords
+
+    def objective(self, model, coords: np.ndarray, epoch: int):
+        return self.loss(model, coords)
+
+    def checkpoint_arrays(self) -> dict:
+        return {} if self.coords is None else {"coords": self.coords}
+
+    def restore_arrays(self, arrays: dict) -> None:
+        if "coords" in arrays:
+            self.coords = arrays["coords"]
+
+    def result(self, model, hist, interrupted: bool) -> Maxwell3DResult:
+        return Maxwell3DResult(model=model, **vars(hist))
+
+
+class Maxwell3DTrainer(Trainer):
+    """Binds the 3-D extension to the shared training loop."""
 
     def __init__(
         self,
@@ -198,18 +238,10 @@ class Maxwell3DTrainer:
         lr: float = 2e-3,
         seed: int = 0,
     ):
-        self.model = model
         self.loss = loss if loss is not None else Maxwell3DLoss()
-        self.rng = np.random.default_rng(seed)
-        self.n_collocation = int(n_collocation)
-        self.t_max = float(t_max)
-        self.params = model.parameters()
-        self.optimizer = Adam(self.params, lr=lr)
-
-    def _sample(self) -> np.ndarray:
-        coords = self.rng.uniform(-1, 1, (self.n_collocation, 4))
-        coords[:, 3] = self.rng.uniform(0, self.t_max, self.n_collocation)
-        return coords
+        task = Maxwell3DTask(self.loss, n_collocation, t_max,
+                             np.random.default_rng(seed))
+        self._bind(model, task, LoopConfig(epochs=50, lr=lr, eval_every=0))
 
     def l2_error(self, reference: Spectral3DSolution, n_samples: int = 512) -> float:
         """Relative L2 error against the problem's reference solution."""
@@ -231,23 +263,6 @@ class Maxwell3DTrainer:
 
     def train(self, epochs: int = 50, resample_every: int = 10) -> Maxwell3DResult:
         """Run the training loop and return the result record."""
-        import gc
-
-        result = Maxwell3DResult(model=self.model)
-        coords = self._sample()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for epoch in range(epochs):
-                if epoch and epoch % resample_every == 0:
-                    coords = self._sample()
-                self.optimizer.zero_grad()
-                total, _ = self.loss(self.model, coords)
-                backward(total, self.params)
-                self.optimizer.step()
-                result.loss.append(float(total.data))
-                total = None
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return result
+        self.config.epochs = int(epochs)
+        self.task.resample_every = int(resample_every)
+        return super().train()

@@ -22,7 +22,7 @@ and per-gate state-apply timings.  Outside the context the original,
 unwrapped functions are restored, so the default path pays nothing.
 
 **Run recording** (:mod:`repro.obs.recorder`) — ``obs.observe(path)``
-installs a JSONL event recorder that both trainers detect automatically,
+installs a JSONL event recorder that the training loop detects automatically,
 emitting per-epoch loss components, parameter/gradient norms, and the
 gradient-variance (black-hole) statistic, and appending a final registry
 snapshot.  Summarise a trace with::

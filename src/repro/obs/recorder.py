@@ -7,15 +7,15 @@ Schema (``schema`` version 1) — every line is a JSON object with a
   metadata passed to the recorder.
 * ``{"kind": "epoch", "epoch": int, "loss": float, "grad_norm": float,
   "grad_variance": float, ...}`` — per-epoch training telemetry emitted by
-  the instrumented trainers (components, learning rate, parameter drift,
-  and L2 error appear when available).
+  the training loop (components, learning rate, parameter drift, and L2
+  error appear when available).
 * ``{"kind": "metrics", "snapshot": [...]}`` — a full
   :meth:`~repro.obs.registry.MetricsRegistry.snapshot`, appended when a
   run finishes (scope timers, per-op autodiff profile, torq counters).
 * any other ``kind`` — free-form events from user code via
   :meth:`RunRecorder.emit`.
 
-The active recorder is process-global: trainers fetch it with
+The active recorder is process-global: the training loop fetches it with
 :func:`get_recorder` and emit only when one is installed, so the default
 (unobserved) path performs no observability work.  The usual entry point is
 the :func:`observe` context manager::

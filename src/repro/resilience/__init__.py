@@ -22,10 +22,14 @@ This package makes all three survivable:
   that finishes the current step, writes a final checkpoint, and exits
   cleanly.
 
-Both :class:`repro.core.Trainer` and :class:`repro.pde.PDETrainer`
-consume these through their configs (``sentinel=``, ``checkpoint_dir=``,
-``resume_from=``, ``chaos=``); with everything off, the trainer hot
-loops are unchanged.  Every recovery event increments a ``resilience.*``
+The one training loop, :meth:`repro.core.Trainer.train`, wires these in
+once for every problem bound to it (the Maxwell :class:`repro.core.Trainer`,
+:class:`repro.pde.PDETrainer`, :class:`repro.core.Maxwell3DTrainer`),
+driven by the shared :class:`repro.core.trainer.LoopConfig` fields
+(``sentinel=``, ``checkpoint_dir=``, ``resume_from=``, ``chaos=``); a
+problem only names the extra arrays a bitwise resume needs (curriculum
+state, the live collocation sample).  With everything off, the hot loop
+is unchanged.  Every recovery event increments a ``resilience.*``
 counter in the :mod:`repro.obs` metrics registry.
 """
 
