@@ -54,7 +54,6 @@ from repro.lower import (  # noqa: E402
     amplitude_budget,
     expectation_budget,
     lower_plan,
-    numba_available,
 )
 from repro.torq import (  # noqa: E402
     ANSATZ_NAMES,
@@ -241,8 +240,6 @@ def bench_lowering(batch: int, n_qubits: int, n_layers: int, reps: int,
         ("adjoint_f64", None),
         ("lowered_f64", LoweringConfig(precision="float64")),
         ("lowered_f32_soa", LoweringConfig(precision="float32")),
-        ("lowered_f32_nosoa",
-         LoweringConfig(precision="float32", passes=("precision",))),
     ]
     rows = []
     z_ref = None
@@ -258,9 +255,6 @@ def bench_lowering(batch: int, n_qubits: int, n_layers: int, reps: int,
         row = {
             "tier": name,
             "precision": layer.precision,
-            "passes": list(lowering.passes) if lowering is not None else [],
-            "numba": bool(lowering is not None
-                          and lowering.numba_requested() and numba_available()),
             "step_s": times[name],
         }
         if z_ref is None:
@@ -449,9 +443,9 @@ def bench_qubit_sweep(qubits: list[int], n_layers: int, batch: int,
 
 
 def check_lowering() -> int:
-    """Deterministic CI assertion for the lowering pipeline.
+    """Deterministic CI assertion for lowered execution.
 
-    * the SoA pass claimed every fused single-qubit block,
+    * every fused single-qubit block runs on the ``soa`` backend,
     * the float64 tier is bitwise identical to the seed adjoint layer,
     * the float32 tier's ⟨Z⟩ deviation is within its documented budget.
     """
@@ -461,8 +455,7 @@ def check_lowering() -> int:
         base.embedded_gate_sequence(), n_qubits, LoweringConfig()
     )
     fused = [r for r in lo.describe() if r["kind"] == "fused_1q"]
-    unclaimed = [r for r in fused if r["backend"] != "soa"]
-    claimed = lo.claims.get("soa", 0)
+    not_soa = [r for r in fused if r["backend"] != "soa"]
     _, l64, _ = _adjoint_layer_step(
         batch, n_qubits, n_layers, LoweringConfig(precision="float64")
     )
@@ -477,12 +470,12 @@ def check_lowering() -> int:
     budget = expectation_budget("float32", n_qubits, n_gates)
     err32 = float(np.max(np.abs(z32 - z0)))
     ok = (
-        bool(fused) and not unclaimed and claimed >= len(fused)
+        bool(fused) and not not_soa
         and np.array_equal(z64, z0) and err32 <= budget
     )
     status = "passed" if ok else "FAILED"
-    print(f"lowering check {status}: SoA claimed {claimed} step(s) "
-          f"({len(fused)} fused blocks, {len(unclaimed)} unclaimed), "
+    print(f"lowering check {status}: {len(fused) - len(not_soa)} of "
+          f"{len(fused)} fused blocks on the soa backend, "
           f"f64 bitwise={np.array_equal(z64, z0)}, "
           f"f32 z err {err32:.1e} <= {budget:.1e}")
     return 0 if ok else 1
@@ -540,7 +533,7 @@ def main(argv=None) -> int:
     parser.add_argument("--check-adjoint", action="store_true",
                         help="assert an adjoint gradient = exactly 2 sweeps")
     parser.add_argument("--check-lowering", action="store_true",
-                        help="assert the SoA pass claimed the fused blocks, "
+                        help="assert every fused block runs SoA, "
                              "f64 lowering is bitwise, f32 within budget")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timed runs per measurement (median reported; "
@@ -619,7 +612,7 @@ def main(argv=None) -> int:
         },
         # CPU/BLAS fingerprint plus the tier the main tables ran under
         # (the default float64, no lowering); the "lowering" section
-        # carries per-row tier/pass metadata for the tiered entries.
+        # carries per-row tier metadata for the tiered entries.
         "environment": obs.environment_info(),
         "table2_step": step_rows,
         "parameter_shift": shift,

@@ -1,18 +1,18 @@
-"""Backend lowering: pass pipelines and precision tiers for hot kernels.
+"""Backend lowering: precision tiers and in-place execution for hot kernels.
 
 ``repro.lower`` takes the repo's two *frozen artifacts* — compiled TorQ
 :class:`~repro.torq.compile.ExecutionPlan` objects and autodiff
-:class:`~repro.autodiff.tape.Tape` schedules — and runs a configurable
-pass pipeline over them.  Each registered pass may rewrite, fuse, or
-claim steps for an alternative backend; anything unclaimed (or claimed
-by a pass whose environment dependency is missing) falls back to the
-bitwise float64 seed path.
+:class:`~repro.autodiff.tape.Tape` schedules — and re-runs them at a
+chosen precision tier: plans on raw NumPy planes (this package), tapes
+through ``compile_step``'s ``precision`` argument (below).  A
+:class:`LoweringConfig` has three fields: ``precision``,
+``plan_memory`` and ``autotune``.
 
 Entry points:
 
 * :func:`lower_plan` — compile + lower a gate sequence under a
   :class:`LoweringConfig` (cached; the cache key incorporates the
-  circuit structure, the precision tier, and the active pass set).
+  circuit structure and :meth:`LoweringConfig.key`).
 * :func:`lower_compiled` — lower an already-compiled plan, uncached.
 * :func:`audit_plan` — per-op error-budget accounting: run a lowered
   plan step-by-step against the float64 seed plan and report each
@@ -20,27 +20,13 @@ Entry points:
 * :mod:`repro.lower.budget` — the documented error budgets the float32
   tier is tested against.
 
-Built-in passes (run in :attr:`LoweringConfig.passes` order; later
-passes see earlier claims; third parties add more via
-:func:`register_pass`):
-
-* ``precision`` — activates the tier.  At float32 every step runs its
-  kernels on float32/complex64 carriers; at float64 it is an audited
-  no-op so the default stays bitwise.
-* ``soa`` — claims fused single-qubit runs for structure-of-arrays
-  execution: the two statevector planes packed into one contiguous
-  ``(batch, pre, 4, post)`` buffer so a whole fused run is one real
-  4×4 block-GEMM, forward and adjoint un-apply.
-* ``numba`` — feature-flagged JIT kernels (``use_numba=True`` or
-  ``REPRO_LOWER_NUMBA=1``).  When numba is not importable the pass
-  degrades **silently** to the NumPy kernels; the skip is recorded in
-  ``plan.fallbacks`` (and a ``lower.pass.fallback`` counter under
-  profiling), never raised.
-* ``autotune`` — feature-flagged per-shape kernel selection
-  (``autotune=True`` or ``REPRO_LOWER_AUTOTUNE=1``, float32 only).
-  See *Memory-planned execution* below.
-* ``memplan`` — feature-flagged in-place execution
-  (``plan_memory=True``).  See *Memory-planned execution* below.
+Lowering builds one step per plan step at the tier dtypes.  Fused
+single-qubit runs always execute structure-of-arrays (backend
+``"soa"``): the two statevector planes are packed into one contiguous
+``(batch, pre, 4, post)`` buffer so a whole fused run is one real 4×4
+block-GEMM.  Every other step runs plane arithmetic (backend
+``"numpy"``).  At float64 every kernel mirrors the seed arithmetic, so
+the default stays bitwise.
 
 Memory-planned execution (``plan_memory=True``):
 
@@ -57,7 +43,7 @@ probed from one seed run); the float64 adjoint delegates to the seed
 kernels unchanged.  ``LoweredPlan.memory_report()`` returns the arena
 and autotune audit per bound batch.
 
-With ``autotune=True`` (or ``REPRO_LOWER_AUTOTUNE=1``) the float32
+With ``autotune=True`` (float32 and ``plan_memory=True`` only) the
 planned executor picks each fused-run kernel per shape class — batch,
 qubit count, run extents, dtype — by microbenchmark instead of the
 built-in heuristic.  Winners are recorded in
@@ -71,12 +57,12 @@ per shape class per machine.  The cache lives at
 
 Config surfaces: ``QuantumLayer(precision="float32")`` (requires
 ``grad_method="adjoint"``; an explicit ``lowering=LoweringConfig(...)``
-overrides the default pass set), ``TrainerConfig.precision`` /
+also sets ``plan_memory``/``autotune``), ``TrainerConfig.precision`` /
 ``PDETrainerConfig.precision`` (the tape-replay tier), and
 ``compile_step(fn, params, precision=...)`` directly.  Every cache
 involved — lowered plans, tape executors, ``zero_state`` frozen bases —
-incorporates the tier (and pass set) in its key, so tiers never alias
-each other's artifacts.
+incorporates the tier (and the config flags) in its key, so tiers never
+alias each other's artifacts.
 
 Tape lowering (the float32 replay tier) lives in
 :func:`repro.autodiff.tape.compile_step` via its ``precision`` argument;
@@ -103,31 +89,14 @@ from .autotune import (
     clear_autotune_cache,
     get_autotuner,
 )
-from .config import (
-    AUTOTUNE_ENV_VAR,
-    DEFAULT_PASSES,
-    NUMBA_ENV_VAR,
-    PRECISION_TIERS,
-    LoweringConfig,
-)
+from .config import PRECISION_TIERS, LoweringConfig
 from .memplan import Arena, BufferSpec, MemoryPlan, plan_buffers
-from .numba_backend import numba_available
-from .passes import (
-    LoweringPass,
-    available_passes,
-    register_pass,
-    run_pipeline,
-)
 from .plan_exec import LoweredPlan, build_lowered_steps
 
 __all__ = [
     "LoweringConfig",
     "LoweredPlan",
-    "LoweringPass",
     "PRECISION_TIERS",
-    "DEFAULT_PASSES",
-    "NUMBA_ENV_VAR",
-    "AUTOTUNE_ENV_VAR",
     "AUTOTUNE_CACHE_ENV_VAR",
     "env_fingerprint_cached",
     "lower_plan",
@@ -135,9 +104,6 @@ __all__ = [
     "audit_plan",
     "clear_lowered_cache",
     "lowered_cache_info",
-    "register_pass",
-    "available_passes",
-    "numba_available",
     "amplitude_budget",
     "expectation_budget",
     "gradient_budget",
@@ -167,15 +133,13 @@ def __getattr__(name):
 def lower_compiled(plan, config: LoweringConfig | None = None) -> LoweredPlan:
     """Lower an already-compiled :class:`ExecutionPlan` (uncached)."""
     config = config or LoweringConfig()
-    lowered = LoweredPlan(
+    return LoweredPlan(
         plan, config, build_lowered_steps(plan, config.rdtype, config.cdtype)
     )
-    run_pipeline(lowered)
-    return lowered
 
 
 # Lowered plans are tiny (they borrow the seed plan's precomputed
-# buffers) but rebuilding them per call would re-run the pipeline every
+# buffers) but lowering per call would rebuild every step on every
 # forward; same LRU discipline as the plan cache underneath.
 _LOWERED_CACHE: "OrderedDict[tuple, LoweredPlan]" = OrderedDict()
 _LOWERED_CACHE_MAX = 512
@@ -210,8 +174,8 @@ def lower_plan(gates, n_qubits: int, config: LoweringConfig | None = None,
     """Compile a gate sequence and lower it under ``config``.
 
     Keyed on the same circuit-structure key as the plan cache *plus*
-    :meth:`LoweringConfig.key`, so precision tiers and pass sets never
-    alias each other's lowered artifacts.
+    :meth:`LoweringConfig.key`, so precision tiers and planned/unplanned
+    configs never alias each other's lowered artifacts.
     """
     from ..torq.compile import compile_gates
 
@@ -263,7 +227,7 @@ def audit_plan(lowered: LoweredPlan, values, batch: int | None = None) -> list[d
     side from |0…0⟩ and records, after every step, the max-abs deviation
     of the lowered amplitudes from the float64 oracle.  ``values`` is
     the flat parameter list (floats or ``(batch,)`` arrays).  Returns a
-    list of ``{"kind", "gates", "backend", "claimed_by", "max_abs_err"}``
+    list of ``{"kind", "gates", "backend", "max_abs_err"}``
     records in step order — the float64 tier reports 0.0 everywhere.
     """
     from ..autodiff import no_grad
@@ -298,7 +262,6 @@ def audit_plan(lowered: LoweredPlan, values, batch: int | None = None) -> list[d
                     "kind": step.kind,
                     "gates": list(step.gates),
                     "backend": step.backend,
-                    "claimed_by": list(step.claimed_by),
                     "max_abs_err": err,
                 }
             )

@@ -1,9 +1,10 @@
 """Per-shape kernel autotuning for lowered execution.
 
-PR 7 chose between kernel variants (SoA pack-GEMM vs strided 2×2
-apply, broadcast vs column-major GEMM layouts) with a heuristic
-hardcoded from one machine's microbenchmarks.  The win is real but the
-crossover moves with BLAS, CPU, and shape: a broadcasted
+Without tuning, the planned executor chooses between kernel variants
+(SoA pack-GEMM vs strided 2×2 apply, broadcast vs column-major GEMM
+layouts) with a heuristic hardcoded from one machine's
+microbenchmarks.  The win is real but the crossover moves with BLAS,
+CPU, and shape: a broadcasted
 ``(4,4) @ (batch, pre, 4, post)`` matmul degenerates into ``batch*pre``
 tiny GEMM dispatches once ``pre`` grows (the last qubits of a large
 register) and loses ~9× to a single ``(4, N)`` column GEMM, while for
@@ -26,7 +27,8 @@ file); inspect it with :func:`autotune_cache_info`.
 
 Only the float32 tier consults the tuner.  The float64 tier's kernel
 sequence *is* the bitwise contract with the seed, so its kernels are
-pinned, never tuned.
+pinned, never tuned: ``LoweringConfig(autotune=True)`` raises unless
+``precision="float32"`` and ``plan_memory=True``.
 
 Under profiling the tuner reports ``lower.autotune.hit`` /
 ``lower.autotune.miss`` counters and a ``lower.autotune.bench`` timer
@@ -151,9 +153,11 @@ class Autotuner:
                 if profiling:
                     obs.metrics().counter("lower.autotune.hit").inc()
                 return winner
-            # Cached winner's backend is unavailable in this process
-            # (e.g. numba won on disk but is not importable now): fall
-            # back to the best *available* recorded timing if any.
+            # The persisted winner is not a candidate here: the cache was
+            # written for another kernel set (e.g. its winner is the
+            # removed "numba" kernel).  Return the fastest recorded
+            # timing among the current candidates without running any
+            # of them; with none recorded, re-benchmark below.
             timings = entry.get("timings_ms", {})
             avail = {n: t for n, t in timings.items() if n in candidates}
             if avail:

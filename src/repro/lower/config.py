@@ -1,49 +1,25 @@
-"""Lowering configuration: precision tiers and the active pass set.
+"""Lowering configuration: the precision tier and two execution flags.
 
 A :class:`LoweringConfig` is the single value threaded from user-facing
 config surfaces (``QuantumLayer(precision=...)``, trainer configs) down to
-the pass pipeline.  It is hashable and exposes :meth:`key`, which every
-lowered-artifact cache incorporates so **tiers never alias**: a float32
-plan and a float64 plan of the same circuit live under different cache
-keys, as do plans lowered with different pass sets.
+:func:`repro.lower.lower_compiled`.  It is hashable and exposes
+:meth:`key`, which every lowered-artifact cache incorporates so **tiers
+never alias**: a float32 plan and a float64 plan of the same circuit live
+under different cache keys, as do planned and unplanned ones.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PRECISION_TIERS",
-    "DEFAULT_PASSES",
-    "NUMBA_ENV_VAR",
-    "AUTOTUNE_ENV_VAR",
-    "LoweringConfig",
-]
+__all__ = ["PRECISION_TIERS", "LoweringConfig"]
 
 #: Supported precision tiers for lowered execution.
 #: ``float64`` is the seed path (complex128 statevectors, bitwise
 #: identical); ``float32`` runs state-sized work in float32/complex64.
 PRECISION_TIERS: tuple[str, ...] = ("float64", "float32")
-
-#: Default pass order.  Passes run in sequence; later passes see the
-#: claims of earlier ones.  ``memplan`` and ``autotune`` are present by
-#: default but gated behind :attr:`LoweringConfig.plan_memory` /
-#: :attr:`LoweringConfig.autotune`, so the default config still executes
-#: the allocating (bitwise-pinned) kernels.
-DEFAULT_PASSES: tuple[str, ...] = (
-    "precision", "soa", "numba", "autotune", "memplan"
-)
-
-#: Environment variable that opts in to the numba kernel backend when
-#: ``LoweringConfig.use_numba`` is left unset (``None``).
-NUMBA_ENV_VAR = "REPRO_LOWER_NUMBA"
-
-#: Environment variable that opts in to per-shape kernel autotuning when
-#: ``LoweringConfig.autotune`` is left unset (``None``).
-AUTOTUNE_ENV_VAR = "REPRO_LOWER_AUTOTUNE"
 
 _REAL_DTYPES = {"float64": np.float64, "float32": np.float32}
 _COMPLEX_DTYPES = {"float64": np.complex128, "float32": np.complex64}
@@ -51,33 +27,27 @@ _COMPLEX_DTYPES = {"float64": np.complex128, "float32": np.complex64}
 
 @dataclass(frozen=True)
 class LoweringConfig:
-    """Precision tier + pass set for lowering a frozen artifact.
+    """Precision tier + execution flags for lowering a frozen artifact.
 
     ``precision`` selects the tier ("float64" keeps the seed arithmetic,
     "float32" runs state-sized kernels in float32/complex64 inside the
-    documented error budget).  ``passes`` is the *requested* pass set in
-    execution order; a pass that cannot run (e.g. ``numba`` without the
-    dependency installed) degrades silently and is reported through the
-    ``lower.pass.fallback`` counter rather than raising.  ``use_numba``
-    tri-state: ``None`` defers to the ``REPRO_LOWER_NUMBA`` environment
-    variable, ``True``/``False`` override it.
+    documented error budget).
 
     ``plan_memory`` opts the plan into in-place execution over a
     preallocated arena (:mod:`repro.lower.inplace`): plane ping-pongs,
     pack buffers and adjoint carriers are liveness-planned into shared
     slots and the warm path performs zero statevector-sized allocations.
-    ``autotune`` tri-state like ``use_numba``: ``None`` defers to
-    ``REPRO_LOWER_AUTOTUNE``; when active (and the tier is float32) the
-    planned executor picks fused-run kernels per shape class by
-    microbenchmark (:mod:`repro.lower.autotune`) instead of the
-    hardcoded heuristic.
+
+    ``autotune`` makes the planned executor pick fused-run kernels per
+    shape class by microbenchmark (:mod:`repro.lower.autotune`) instead
+    of the built-in heuristic.  It needs ``precision="float32"`` and
+    ``plan_memory=True`` (float64 kernels are pinned for bitwise
+    equality); any other combination raises ``ValueError``.
     """
 
     precision: str = "float64"
-    passes: tuple[str, ...] = field(default=DEFAULT_PASSES)
-    use_numba: bool | None = None
     plan_memory: bool = False
-    autotune: bool | None = None
+    autotune: bool = False
 
     def __post_init__(self):
         if self.precision not in PRECISION_TIERS:
@@ -85,7 +55,15 @@ class LoweringConfig:
                 f"unknown precision tier {self.precision!r}; "
                 f"available: {PRECISION_TIERS}"
             )
-        object.__setattr__(self, "passes", tuple(self.passes))
+        if self.autotune and (
+            self.precision != "float32" or not self.plan_memory
+        ):
+            raise ValueError(
+                "autotune=True needs precision='float32' and "
+                "plan_memory=True (float64 kernels are pinned for bitwise "
+                f"equality); got precision={self.precision!r}, "
+                f"plan_memory={self.plan_memory}"
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -98,45 +76,10 @@ class LoweringConfig:
         """Complex dtype of this tier (adjoint-sweep carriers)."""
         return np.dtype(_COMPLEX_DTYPES[self.precision])
 
-    def numba_requested(self) -> bool:
-        """Whether the numba backend should be attempted at all."""
-        if "numba" not in self.passes:
-            return False
-        if self.use_numba is not None:
-            return bool(self.use_numba)
-        return os.environ.get(NUMBA_ENV_VAR, "") in ("1", "true", "yes")
-
-    def autotune_requested(self) -> bool:
-        """Whether planned executions should consult the autotuner.
-
-        Only meaningful when ``plan_memory`` is on and the tier is
-        float32 (float64 kernels are pinned for bitwise equality);
-        defaults to the ``REPRO_LOWER_AUTOTUNE`` environment variable
-        when the ``autotune`` field is left ``None``.
-        """
-        if "autotune" not in self.passes:
-            return False
-        if self.autotune is not None:
-            return bool(self.autotune)
-        return os.environ.get(AUTOTUNE_ENV_VAR, "") in ("1", "true", "yes")
-
     def key(self) -> tuple:
         """Hashable identity for artifact caches.
 
-        Incorporates the precision tier, the requested pass set, and
-        whether the numba backend is *actually* active (requested and
-        importable), so tiers and pass configurations never share a
-        cached lowered artifact.  ``plan_memory`` and the autotune flag
-        are part of the identity too: a planned artifact carries bound
-        arenas and kernel decisions an unplanned one does not.
+        A planned artifact carries bound arenas and kernel decisions an
+        unplanned one does not, so both flags are part of the identity.
         """
-        from .numba_backend import numba_available
-
-        numba_active = self.numba_requested() and numba_available()
-        return (
-            self.precision,
-            self.passes,
-            numba_active,
-            self.plan_memory,
-            self.autotune_requested(),
-        )
+        return (self.precision, self.plan_memory, self.autotune)

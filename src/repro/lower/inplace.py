@@ -32,11 +32,11 @@ Correctness contract (mirrors :mod:`repro.lower.plan_exec`):
   speed and the memory ceiling live.
 * **float32** — forward fused-run kernels are selected per shape class
   by :mod:`repro.lower.autotune` among SoA variants (broadcast 4×4 GEMM,
-  per-batch row GEMM, single column GEMM), the strided 2×2 apply, and
-  the numba JIT kernel when present; the adjoint packs the complex
-  carriers into real ``(batch, 4, pre·post)`` buffers so un-apply is one
-  real GEMM and the overlap matrix one batched GEMM.  Deviation stays
-  within the documented float32 budgets.
+  per-batch row GEMM, single column GEMM) and the strided 2×2 apply
+  (or by a fixed heuristic when ``autotune`` is off); the adjoint packs
+  the complex carriers into real ``(batch, 4, pre·post)`` buffers so
+  un-apply is one real GEMM and the overlap matrix one batched GEMM.
+  Deviation stays within the documented float32 budgets.
 
 Steps the planner cannot execute in place (unfused ``gate`` steps — rare
 leftovers the compiler could not fuse) fall back to the allocating
@@ -325,7 +325,7 @@ class PlannedExecution:
             # Bitwise path: the seed's exact pack → broadcast GEMM →
             # slice sequence, with out= destinations (bitwise-equal).
             # Kernel choice is pinned, never autotuned.
-            self._fused_bcast(i, step, m)
+            self._fused_bcast(i, m)
             return
         choice = self._fused_choice(i, step, m, resolve)
         self._run_fused_kernel(i, step, m, resolve, choice)
@@ -339,9 +339,7 @@ class PlannedExecution:
         names = ["bcast", "rows", "strided"]
         if mode == "const":
             names.append("cols")
-            if step.numba_kernels is not None:  # pragma: no cover - numba
-                names.append("numba")
-        if self.lowered.config.autotune_requested():
+        if self.lowered.config.autotune:
             # Shape class, not step index: every fused run with the same
             # (mode, batch bucket, width, position, length) shares one
             # benchmarked decision, on disk, across processes.
@@ -359,10 +357,9 @@ class PlannedExecution:
             winner = get_autotuner().decide(key, candidates)
             source = "autotune"
         else:
-            # PR 7's hardcoded heuristic, kept as the untuned fallback.
-            if mode == "const" and step.numba_kernels is not None:  # pragma: no cover - numba
-                winner = "numba"
-            elif mode == "const" and ctx["post"] < 8:
+            # Small ``post`` degenerates the broadcast GEMM into many
+            # tiny multiplies; one column GEMM wins there.
+            if mode == "const" and ctx["post"] < 8:
                 winner = "cols"
             else:
                 winner = "bcast"
@@ -378,8 +375,8 @@ class PlannedExecution:
         return winner
 
     def _run_fused_kernel(self, i, step, m, resolve, name) -> None:
-        if name in ("bcast", "numba"):
-            self._fused_bcast(i, step, m, force_numpy=(name == "bcast"))
+        if name == "bcast":
+            self._fused_bcast(i, m)
         elif name == "rows":
             self._fused_rows(i, m)
         elif name == "cols":
@@ -387,24 +384,12 @@ class PlannedExecution:
         else:
             self._fused_strided(i, step, resolve)
 
-    def _fused_bcast(self, i, step, m, force_numpy: bool = False) -> None:
+    def _fused_bcast(self, i, m) -> None:
         ctx = self._ctx[i]
         P, Q = ctx["p_bcast"], ctx["q_bcast"]
         P[:, :, 0:2] = ctx["src_re"]
         P[:, :, 2:4] = ctx["src_im"]
-        kernels = step.numba_kernels
-        if (
-            not force_numpy
-            and kernels is not None
-            and m.ndim == 2
-            and P.dtype == m.dtype
-        ):  # pragma: no cover - requires numba installed
-            post = ctx["post"]
-            kernels["apply_block44"](
-                m, P.reshape(-1, 4, post), Q.reshape(-1, 4, post)
-            )
-        else:
-            np.matmul(m, P, out=Q)
+        np.matmul(m, P, out=Q)
         ctx["dst_re"][...] = Q[:, :, 0:2]
         ctx["dst_im"][...] = Q[:, :, 2:4]
 

@@ -1,12 +1,13 @@
 """Numpy-native lowered execution of compiled TorQ plans.
 
-A :class:`LoweredPlan` is what the pass pipeline produces from a frozen
-:class:`~repro.torq.compile.ExecutionPlan`: one lowered step per plan
-step, each a raw-NumPy kernel over *split real/imaginary planes* (two
-float arrays of shape ``(batch, 2, ..., 2)``) instead of autodiff
-tensors.  The lowered executor serves the measured (tape-free) path of
-:class:`~repro.torq.layer.QuantumLayer` — forward statevector simulation
-plus the adjoint reverse sweep — at a configurable precision tier.
+A :class:`LoweredPlan` is what :func:`repro.lower.lower_compiled` builds
+from a frozen :class:`~repro.torq.compile.ExecutionPlan`: one lowered
+step per plan step, each a raw-NumPy kernel over *split real/imaginary
+planes* (two float arrays of shape ``(batch, 2, ..., 2)``) instead of
+autodiff tensors.  The lowered executor serves the measured (tape-free)
+path of :class:`~repro.torq.layer.QuantumLayer` — forward statevector
+simulation plus the adjoint reverse sweep — at a configurable precision
+tier.
 
 Correctness contract, per tier:
 
@@ -26,13 +27,11 @@ Correctness contract, per tier:
 
 Backends per step (reported by :meth:`LoweredPlan.describe`):
 
-* ``numpy`` — the baseline plane-arithmetic lowering ("strided complex
-  views": one multiply/add pair per nonzero matrix entry),
-* ``soa``   — structure-of-arrays packing: the planes are packed into
+* ``soa``   — every fused single-qubit run: the planes are packed into
   one contiguous ``(batch, pre, 4, post)`` buffer and the whole fused
-  run is ONE real 4×4 GEMM (forward *and* adjoint un-apply),
-* ``numba`` — the optional JIT kernels of
-  :mod:`repro.lower.numba_backend` layered on top of the SoA packing.
+  run is ONE real 4×4 GEMM,
+* ``numpy`` — every other step (phase masks, permutations, unfused
+  gates): elementwise plane arithmetic and gathers.
 
 Steps read the private precomputed index/factor fields of the seed plan
 steps — the two modules evolve together by design.
@@ -115,25 +114,7 @@ def _pack_planes(re: np.ndarray, im: np.ndarray, pack_shape: tuple) -> np.ndarra
     return out
 
 
-def _pack_complex(z: np.ndarray, pack_shape: tuple) -> np.ndarray:
-    """SoA packing of a complex carrier into real planes."""
-    p = z.reshape(pack_shape)
-    out = np.empty(p.shape[:2] + (4,) + p.shape[3:], dtype=p.real.dtype)
-    out[:, :, 0:2] = p.real
-    out[:, :, 2:4] = p.imag
-    return out
-
-
-def _unpack_complex(packed: np.ndarray, shape: tuple, cdtype) -> np.ndarray:
-    """Inverse of :func:`_pack_complex` back into one complex array."""
-    out = np.empty(packed.shape[:2] + (2,) + packed.shape[3:], dtype=cdtype)
-    out.real = packed[:, :, 0:2]
-    out.imag = packed[:, :, 2:4]
-    return out.reshape(shape)
-
-
-def _apply_block(packed: np.ndarray, m: np.ndarray, numba_kernels=None,
-                 fast: bool = False):
+def _apply_block(packed: np.ndarray, m: np.ndarray, fast: bool = False):
     """One real GEMM ``m @ packed`` (the fused-block hot loop).
 
     ``fast=True`` (float32 tier only — never the bitwise float64 path,
@@ -146,15 +127,6 @@ def _apply_block(packed: np.ndarray, m: np.ndarray, numba_kernels=None,
     # The pack step just concatenated, so this must already be dense —
     # a strided buffer here would mean a hidden copy inside BLAS.
     assert packed.flags["C_CONTIGUOUS"]
-    if (
-        numba_kernels is not None
-        and m.ndim == 2
-        and packed.dtype == m.dtype
-    ):  # pragma: no cover - requires numba installed
-        rows = packed.reshape(-1, 4, packed.shape[-1])
-        out = np.empty_like(rows)
-        numba_kernels["apply_block44"](m, rows, out)
-        return out.reshape(packed.shape)
     if fast and m.ndim == 2 and packed.shape[-1] < 8:
         b, p, _, k = packed.shape
         cols = np.ascontiguousarray(packed.transpose(2, 0, 1, 3)).reshape(4, -1)
@@ -168,44 +140,31 @@ def _apply_block(packed: np.ndarray, m: np.ndarray, numba_kernels=None,
 # ----------------------------------------------------------------------
 
 class _LoweredStep:
-    """Base lowered step: tier dtypes plus claim bookkeeping."""
+    """Base lowered step: the seed step, tier dtypes and backend name."""
 
-    __slots__ = ("seed", "kind", "gates", "backend", "claimed_by",
-                 "rdtype", "cdtype", "numba_kernels")
+    __slots__ = ("seed", "kind", "gates", "rdtype", "cdtype")
+
+    backend = "numpy"
 
     def __init__(self, seed_step, rdtype, cdtype):
         self.seed = seed_step
         self.kind = seed_step.kind
         self.gates = seed_step.gates
-        self.backend = "numpy"
-        self.claimed_by: tuple[str, ...] = ()
         self.rdtype = np.dtype(rdtype)
         self.cdtype = np.dtype(cdtype)
-        self.numba_kernels = None
 
     @property
     def f64(self) -> bool:
         return self.rdtype == np.float64
 
-    def claim(self, pass_name: str, backend: str | None = None) -> None:
-        self.claimed_by = self.claimed_by + (pass_name,)
-        if backend is not None:
-            self.backend = backend
-
 
 class _LoweredFused(_LoweredStep):
-    """Fused single-qubit run on planes.
+    """Fused single-qubit run on planes: pack → one real 4×4 GEMM →
+    unpack, the seed layout exactly."""
 
-    ``soa=True`` (the SoA pass claimed it): pack → one real 4×4 GEMM →
-    unpack, the seed layout exactly.  ``soa=False``: per-entry 2×2 plane
-    arithmetic over strided half-views (the ablation baseline).
-    """
+    __slots__ = ()
 
-    __slots__ = ("soa",)
-
-    def __init__(self, seed_step, rdtype, cdtype):
-        super().__init__(seed_step, rdtype, cdtype)
-        self.soa = False
+    backend = "soa"
 
     # -- matrix composition ------------------------------------------
     def _matrix64(self, resolve) -> np.ndarray:
@@ -233,43 +192,15 @@ class _LoweredFused(_LoweredStep):
 
     # -- forward ------------------------------------------------------
     def forward(self, re, im, resolve):
+        # At float64 this IS the seed arithmetic (the seed fused step
+        # packs and matmuls too), so the tier stays bitwise.
         s = self.seed
-        # float64 always takes the pack→GEMM route: that IS the seed
-        # arithmetic (the seed fused step packs and matmuls too), so the
-        # unclaimed fallback stays bitwise.  The strided baseline below
-        # is the float32 ablation when the SoA pass is not active.
-        if self.soa or self.f64:
-            m = self._matrix(resolve)
-            packed = _pack_planes(re, im, s._pack_shape)
-            out = _apply_block(packed, m, self.numba_kernels,
-                               fast=not self.f64)
-            return (
-                out[:, :, 0:2].reshape(s._full_shape),
-                out[:, :, 2:4].reshape(s._full_shape),
-            )
-        # Strided-view baseline: one complex 2×2 applied entrywise.
-        u = _compose_factors(s._factors, resolve)
-        if u.ndim == 3:
-            u = u.reshape(-1, 2, 2, 1, 1)
-            u00, u01 = u[:, 0, 0], u[:, 0, 1]
-            u10, u11 = u[:, 1, 0], u[:, 1, 1]
-        else:
-            u00, u01, u10, u11 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
-        pr = re.reshape(s._pack_shape)
-        pi = im.reshape(s._pack_shape)
-        a0r, a1r = pr[:, :, 0], pr[:, :, 1]
-        a0i, a1i = pi[:, :, 0], pi[:, :, 1]
-        if not self.f64:
-            u00, u01, u10, u11 = (
-                x.astype(np.complex64) for x in (u00, u01, u10, u11)
-            )
-        n0r = a0r * u00.real - a0i * u00.imag + a1r * u01.real - a1i * u01.imag
-        n0i = a0r * u00.imag + a0i * u00.real + a1r * u01.imag + a1i * u01.real
-        n1r = a0r * u10.real - a0i * u10.imag + a1r * u11.real - a1i * u11.imag
-        n1i = a0r * u10.imag + a0i * u10.real + a1r * u11.imag + a1i * u11.real
+        m = self._matrix(resolve)
+        packed = _pack_planes(re, im, s._pack_shape)
+        out = _apply_block(packed, m, fast=not self.f64)
         return (
-            np.stack([n0r, n1r], axis=2).reshape(s._full_shape),
-            np.stack([n0i, n1i], axis=2).reshape(s._full_shape),
+            out[:, :, 0:2].reshape(s._full_shape),
+            out[:, :, 2:4].reshape(s._full_shape),
         )
 
     # -- adjoint ------------------------------------------------------
@@ -396,11 +327,7 @@ class _LoweredPhase(_LoweredStep):
         mf = mu.reshape(s._flat)
         if s._term_refs:
             w = (np.conj(pf) * mf).imag
-            if self.numba_kernels is not None and w.dtype == self._coeff_flat.dtype:  # pragma: no cover - requires numba
-                g = np.empty((w.shape[0], len(s._term_refs)), dtype=w.dtype)
-                self.numba_kernels["diag_batch_product"](w, self._coeff_flat.T, g)
-            else:
-                g = 2.0 * (w @ self._coeff_flat.T)
+            g = 2.0 * (w @ self._coeff_flat.T)
             g64 = np.asarray(g, dtype=np.float64)
             for t, ref in enumerate(s._term_refs):
                 accumulate(ref, g64[:, t])
@@ -588,7 +515,7 @@ _LOWERED_BY_KIND = {
 
 
 def build_lowered_steps(plan, rdtype, cdtype) -> list[_LoweredStep]:
-    """The baseline ("numpy" backend) lowering of every plan step."""
+    """The lowering of every plan step at the tier dtypes."""
     return [
         _LOWERED_BY_KIND[s.kind](s, rdtype, cdtype) for s in plan.steps
     ]
@@ -599,14 +526,14 @@ def build_lowered_steps(plan, rdtype, cdtype) -> list[_LoweredStep]:
 # ----------------------------------------------------------------------
 
 class LoweredPlan:
-    """A pass-pipeline-lowered execution plan (numpy-native, tiered).
+    """A lowered execution plan (numpy-native, tiered).
 
     Produced by :func:`repro.lower.lower_plan`; holds the lowered steps,
-    the tier dtypes, which passes ran, and per-pass claim counts.  The
-    public surface mirrors what the measured quantum-layer path needs:
-    :meth:`run_planes` (forward), :meth:`z_expectations` (readout),
-    :meth:`adjoint_vjp` (all-parameter gradients), plus
-    :meth:`amplitudes` and :meth:`describe` for tests and inspection.
+    the tier dtypes and the config.  The public surface mirrors what the
+    measured quantum-layer path needs: :meth:`run_planes` (forward),
+    :meth:`z_expectations` (readout), :meth:`adjoint_vjp`
+    (all-parameter gradients), plus :meth:`amplitudes` and
+    :meth:`describe` for tests and inspection.
     """
 
     #: Planned executions kept alive per plan (arena reuse across batch
@@ -620,12 +547,6 @@ class LoweredPlan:
         self.n_qubits = plan.n_qubits
         self.rdtype = steps[0].rdtype if steps else np.dtype(config.rdtype)
         self.cdtype = steps[0].cdtype if steps else np.dtype(config.cdtype)
-        self.passes_run: tuple[str, ...] = ()
-        self.claims: dict[str, int] = {}
-        self.fallbacks: dict[str, str] = {}
-        #: Set by the ``memplan`` / ``autotune`` passes.
-        self.memplan_enabled = False
-        self.autotune_enabled = False
         #: Audit trail of per-shape kernel decisions (planned f32 runs).
         self.autotune_decisions: dict[str, dict] = {}
         self._planned: "OrderedDict[int, object]" = OrderedDict()
@@ -635,14 +556,9 @@ class LoweredPlan:
         return "float32" if self.rdtype == np.float32 else "float64"
 
     def describe(self) -> list[dict]:
-        """Per-step records: kind, member gates, backend, claiming passes."""
+        """Per-step records: kind, member gates, backend."""
         return [
-            {
-                "kind": s.kind,
-                "gates": list(s.gates),
-                "backend": s.backend,
-                "claimed_by": list(s.claimed_by),
-            }
+            {"kind": s.kind, "gates": list(s.gates), "backend": s.backend}
             for s in self.steps
         ]
 
@@ -651,15 +567,14 @@ class LoweredPlan:
         """The :class:`~repro.lower.inplace.PlannedExecution` bound to
         ``batch``, building (liveness plan + arena) on first use.
 
-        Only available when the ``memplan`` pass claimed this plan.
+        Only available when the config sets ``plan_memory=True``.
         Bound executions are cached per batch size (small LRU — each
         holds one arena), so repeated steps at a fixed batch reuse the
         same memory with zero statevector-sized allocations.
         """
-        if not self.memplan_enabled:
+        if not self.config.plan_memory:
             raise RuntimeError(
-                "planned execution requires plan_memory=True "
-                "(the 'memplan' lowering pass)"
+                "planned execution requires LoweringConfig(plan_memory=True)"
             )
         pe = self._planned.get(batch)
         if pe is None:
@@ -676,7 +591,7 @@ class LoweredPlan:
     def _planned_owning(self, planes):
         """The cached bound execution whose arena holds ``planes``
         (None when the planes came from somewhere else)."""
-        if not self.memplan_enabled:
+        if not self.config.plan_memory:
             return None
         batch = planes[0].shape[0]
         pe = self._planned.get(batch)
@@ -700,7 +615,7 @@ class LoweredPlan:
         bound arena and the returned planes are arena views — valid
         until the next ``run_planes`` at the same batch size.
         """
-        if self.memplan_enabled:
+        if self.config.plan_memory:
             return self.planned_execution(batch).run_forward(resolve)
         base = zero_state(batch, self.n_qubits, dtype=self.rdtype)
         re = base.tensor.re.data
@@ -849,5 +764,5 @@ class LoweredPlan:
         return (
             f"LoweredPlan(n_qubits={self.n_qubits}, "
             f"precision={self.precision!r}, steps={len(self.steps)}, "
-            f"passes={list(self.passes_run)})"
+            f"plan_memory={self.config.plan_memory})"
         )

@@ -118,11 +118,10 @@ def _available_cpus() -> int:
 def environment_info(lowering=None) -> dict:
     """The standard ``environment`` block for benchmark reports.
 
-    ``lowering`` (a :class:`repro.lower.LoweringConfig`) stamps the
-    precision tier, the active pass pipeline, and whether the numba
-    backend was requested *and* importable — the three knobs that change
-    which kernels actually executed.  Without it the block records the
-    default tier (plain float64, no lowering passes).
+    ``lowering`` (a :class:`repro.lower.LoweringConfig`) stamps its
+    three fields — ``precision``, ``plan_memory`` and ``autotune``, the
+    knobs that change which kernels actually executed.  Without it the
+    block records only the default tier (plain float64).
     """
     env = {
         "python": platform.python_version(),
@@ -136,17 +135,15 @@ def environment_info(lowering=None) -> dict:
         "peak_rss_bytes": peak_rss_bytes(),
     }
     if lowering is not None:
-        from ..lower import LoweringConfig, numba_available
+        from ..lower import LoweringConfig
 
         if not isinstance(lowering, LoweringConfig):
             raise TypeError("lowering must be a LoweringConfig")
         env["precision"] = lowering.precision
-        env["lowering_passes"] = list(lowering.passes)
-        env["numba"] = bool(lowering.numba_requested() and numba_available())
+        env["plan_memory"] = lowering.plan_memory
+        env["autotune"] = lowering.autotune
     else:
         env["precision"] = "float64"
-        env["lowering_passes"] = []
-        env["numba"] = False
     return env
 
 

@@ -6,9 +6,9 @@ identical amplitudes and Z-expectations on three independent executors, to
 1e-10: the compiled plan (fused kernels), the interpreted per-gate batched
 backend, and the dense per-point ``torq.reference`` oracle.
 
-The same programs also exercise the :mod:`repro.lower` pass pipeline at
-both precision tiers: the float64 lowering (all passes) must be *bitwise*
-identical to the compiled seed, and the float32/complex64 tier must agree
+The same programs also exercise :mod:`repro.lower` lowering at both
+precision tiers: the float64 lowering must be *bitwise* identical to
+the compiled seed, and the float32/complex64 tier must agree
 with the dense float64 oracle within the per-case error budgets from
 :mod:`repro.lower.budget`, which scale with qubit and gate counts.
 """
@@ -106,7 +106,7 @@ def test_random_circuit_equivalence(seed):
 def test_random_circuit_lowered_tiers(seed):
     """Lowered execution of the same random programs, both tiers.
 
-    float64 + all passes must reproduce the compiled seed *bitwise*;
+    float64 lowering must reproduce the compiled seed *bitwise*;
     float32 must land within the size-scaled budgets against the dense
     float64 oracle (amplitudes, Z-expectations, and adjoint gradients).
     """

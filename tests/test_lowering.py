@@ -1,15 +1,16 @@
-"""Tests for the ``repro.lower`` pass pipeline and precision tiers.
+"""Tests for ``repro.lower`` lowering and precision tiers.
 
-Covers the lowering contract end to end: the float64 tier with every
-pass enabled is *bitwise* identical to the seed executors (amplitudes,
-Z-expectations, adjoint gradients — the default config must never drift);
-the float32 tier stays inside the documented budgets of
-:mod:`repro.lower.budget`; pass registration, unknown-pass errors, and
-cache-key separation between tiers; the numba feature flag degrading
-silently when the dependency is absent; the ``zero_state`` dtype cache
-key; the no-hidden-copy regression for compiled epochs; and the
-``QuantumLayer`` / tape ``precision`` integration surfaces.
+Covers the lowering contract end to end: the float64 tier is *bitwise*
+identical to the seed executors (amplitudes, Z-expectations, adjoint
+gradients — the default config must never drift); the float32 tier
+stays inside the documented budgets of :mod:`repro.lower.budget`;
+config validation, the environment block it stamps, and cache-key
+separation between tiers; the ``zero_state`` dtype cache key; the
+no-hidden-copy regression for compiled epochs; and the ``QuantumLayer``
+/ tape ``precision`` integration surfaces.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,22 +20,16 @@ from repro import lower
 from repro.autodiff import Tensor, backward, no_grad
 from repro.autodiff.tape import compile_step
 from repro.lower import (
-    DEFAULT_PASSES,
-    NUMBA_ENV_VAR,
     LoweringConfig,
-    LoweringPass,
     amplitude_budget,
-    available_passes,
     clear_lowered_cache,
     expectation_budget,
     gradient_budget,
     lower_plan,
     lowered_cache_info,
-    numba_available,
-    register_pass,
     tape_budget,
 )
-from repro.lower import passes as passes_mod
+from repro.obs import environment_info
 from repro.torq import Circuit, QuantumLayer
 from repro.torq.adjoint import adjoint_state_vjp
 from repro.torq.state import zero_state
@@ -69,7 +64,7 @@ def _lowered_run(qc, params, batch, config):
 
 
 class TestBitwiseDefault:
-    """precision='float64' with all passes enabled == the seed, bitwise."""
+    """precision='float64' lowering == the seed, bitwise."""
 
     def test_forward_and_z_bitwise(self):
         qc, params, batch = _mixed_circuit()
@@ -80,7 +75,6 @@ class TestBitwiseDefault:
                                        compiled=True).data
         lowered, planes, _ = _lowered_run(
             qc, params, batch, LoweringConfig(precision="float64"))
-        assert {"precision", "soa"} <= set(lowered.passes_run)
         assert np.array_equal(lowered.amplitudes(planes), seed_amps)
         assert np.array_equal(lowered.z_expectations(planes), seed_z)
 
@@ -97,26 +91,30 @@ class TestBitwiseDefault:
             assert np.array_equal(np.asarray(a, dtype=np.float64),
                                   np.asarray(b, dtype=np.float64))
 
-    def test_f64_pass_claims_nothing_for_precision(self):
+    def test_f64_fused_steps_take_soa_backend(self):
+        # Fused runs execute SoA even at float64 (same arithmetic, one
+        # packed GEMM) — the bitwise checks above prove it.
         qc, params, batch = _mixed_circuit()
         lowered, _, _ = _lowered_run(
             qc, params, batch, LoweringConfig(precision="float64"))
-        assert lowered.claims["precision"] == 0
-        # SoA legitimately claims the fused steps even at float64 (same
-        # arithmetic, one packed GEMM) — the bitwise checks above prove it.
-        assert lowered.claims["soa"] >= 1
+        records = lowered.describe()
+        assert any(r["kind"] == "fused_1q" for r in records)
+        for rec in records:
+            assert set(rec) == {"kind", "gates", "backend"}
+            expected = "soa" if rec["kind"] == "fused_1q" else "numpy"
+            assert rec["backend"] == expected
+        assert all(s.rdtype == np.float64 for s in lowered.steps)
 
     def test_default_config_keeps_memplan_and_autotune_dormant(self):
-        # The passes ship in DEFAULT_PASSES but are gated behind their
-        # config flags: the default artifact must stay the allocating
-        # bitwise path with the skips on the audit trail.
-        assert {"autotune", "memplan"} <= set(DEFAULT_PASSES)
+        # The default artifact must stay the allocating bitwise path.
+        cfg = LoweringConfig()
+        assert not cfg.plan_memory and not cfg.autotune
         qc, params, batch = _mixed_circuit()
-        lowered, _, _ = _lowered_run(qc, params, batch, LoweringConfig())
-        assert not lowered.memplan_enabled
-        assert not lowered.autotune_enabled
-        assert lowered.fallbacks.get("memplan") == "not requested"
-        assert lowered.fallbacks.get("autotune") == "not requested"
+        lowered, _, _ = _lowered_run(qc, params, batch, cfg)
+        assert lowered.memory_report() == {}
+        assert lowered.autotune_decisions == {}
+        with pytest.raises(RuntimeError, match="plan_memory"):
+            lowered.planned_execution(batch)
 
     def test_planned_f64_is_bitwise_through_the_layer_surface(self):
         qc, params, batch = _mixed_circuit()
@@ -188,55 +186,48 @@ class TestFloat32Budgets:
                                   qc.execution_plan().n_gates)
         for rec in records:
             assert rec["max_abs_err"] <= budget
-            assert rec["backend"] in ("numpy", "soa", "numba")
+            expected = "soa" if rec["kind"] == "fused_1q" else "numpy"
+            assert rec["backend"] == expected
 
 
 class TestRegistryAndCache:
-    def test_builtin_passes_registered(self):
-        assert set(DEFAULT_PASSES) <= set(available_passes())
+    """Config validation and the lowered-plan cache."""
 
-    def test_unknown_pass_raises(self):
-        qc, params, batch = _mixed_circuit()
-        cfg = LoweringConfig(passes=("precision", "vectorize-harder"))
-        with pytest.raises(ValueError, match="unknown lowering pass"):
-            _lowered_run(qc, params, batch, cfg)
+    def test_config_has_exactly_three_fields(self):
+        names = [f.name for f in dataclasses.fields(LoweringConfig)]
+        assert names == ["precision", "plan_memory", "autotune"]
 
     def test_unknown_precision_raises(self):
         with pytest.raises(ValueError, match="precision tier"):
             LoweringConfig(precision="bfloat16")
 
-    def test_register_custom_pass(self):
-        class NullPass(LoweringPass):
-            name = "test-null"
+    @pytest.mark.parametrize("kwargs", [
+        {"precision": "float64", "plan_memory": True},
+        {"precision": "float32", "plan_memory": False},
+    ])
+    def test_autotune_outside_planned_f32_raises(self, kwargs):
+        with pytest.raises(ValueError, match="float32.*plan_memory"):
+            LoweringConfig(autotune=True, **kwargs)
 
-            def run(self, plan):
-                return 0
+    def test_environment_info_stamps_config_fields(self):
+        cfg = LoweringConfig(precision="float32", plan_memory=True,
+                             autotune=True)
+        env = environment_info(lowering=cfg)
+        assert (env["precision"], env["plan_memory"], env["autotune"]) == (
+            "float32", True, True)
+        default = environment_info()
+        assert default["precision"] == "float64"
+        assert not {"plan_memory", "autotune", "lowering_passes",
+                    "numba"} & set(default)
 
-        register_pass(NullPass)
-        try:
-            qc, params, batch = _mixed_circuit()
-            cfg = LoweringConfig(passes=("precision", "test-null"))
-            lowered, planes, _ = _lowered_run(qc, params, batch, cfg)
-            assert "test-null" in lowered.passes_run
-            assert lowered.claims["test-null"] == 0
-        finally:
-            passes_mod._REGISTRY.pop("test-null", None)
-
-    def test_nameless_pass_rejected(self):
-        class Anon(LoweringPass):
-            pass
-
-        with pytest.raises(ValueError, match="non-empty 'name'"):
-            register_pass(Anon)
-
-    def test_cache_keys_separate_tiers_and_pass_sets(self):
+    def test_cache_keys_separate_tiers_and_planning(self):
         clear_lowered_cache()
         qc, params, batch = _mixed_circuit()
         gates = qc.gate_sequence()
         configs = [
             LoweringConfig(precision="float64"),
             LoweringConfig(precision="float32"),
-            LoweringConfig(precision="float32", passes=("precision",)),
+            LoweringConfig(precision="float32", plan_memory=True),
         ]
         plans = [lower_plan(gates, qc.n_qubits, c) for c in configs]
         assert len({id(p) for p in plans}) == 3
@@ -244,53 +235,16 @@ class TestRegistryAndCache:
         # A repeated request under the same config hits the cache.
         assert lower_plan(gates, qc.n_qubits, configs[1]) is plans[1]
 
-    def test_config_key_incorporates_tier_and_passes(self):
-        k64 = LoweringConfig(precision="float64").key()
-        k32 = LoweringConfig(precision="float32").key()
-        k32p = LoweringConfig(precision="float32",
-                              passes=("precision",)).key()
-        assert len({k64, k32, k32p}) == 3
-
-
-class TestNumbaFallback:
-    """The numba backend is opt-in and degrades silently when absent."""
-
-    @pytest.fixture(autouse=True)
-    def _require_absent(self):
-        if numba_available():  # pragma: no cover - env without numba
-            pytest.skip("numba installed; fallback path not exercisable")
-
-    def test_env_var_opts_in(self, monkeypatch):
-        monkeypatch.setenv(NUMBA_ENV_VAR, "1")
-        assert LoweringConfig().numba_requested()
-        monkeypatch.delenv(NUMBA_ENV_VAR)
-        assert not LoweringConfig().numba_requested()
-        assert LoweringConfig(use_numba=True).numba_requested()
-        monkeypatch.setenv(NUMBA_ENV_VAR, "1")
-        assert not LoweringConfig(use_numba=False).numba_requested()
-
-    def test_requested_but_missing_degrades_bitwise(self, monkeypatch):
-        monkeypatch.setenv(NUMBA_ENV_VAR, "1")
-        qc, params, batch = _mixed_circuit()
-        with no_grad():
-            seed_amps = qc.run(params=params, batch=batch,
-                               compiled=True).numpy()
-        gates = qc.gate_sequence()
-        values = qc.flat_parameter_values(params)
-        lowered = lower_plan(gates, qc.n_qubits,
-                             LoweringConfig(precision="float64"),
-                             cache=False)
-        assert lowered.config.numba_requested()
-        assert lowered.claims.get("numba", 0) == 0
-        assert lowered.fallbacks.get("numba") == "numba unavailable"
-        planes = lowered.run_planes(batch, lambda i: values[i])
-        assert np.array_equal(lowered.amplitudes(planes), seed_amps)
-
-    def test_cache_key_ignores_inactive_numba(self):
-        # Requested-but-unimportable numba runs the same kernels as
-        # not-requested; the cache key must agree so artifacts are shared.
-        assert (LoweringConfig(use_numba=True).key()
-                == LoweringConfig(use_numba=False).key())
+    def test_config_key_incorporates_tier_and_flags(self):
+        keys = {
+            LoweringConfig(precision="float64").key(),
+            LoweringConfig(precision="float32").key(),
+            LoweringConfig(precision="float32", plan_memory=True).key(),
+            LoweringConfig(precision="float32", plan_memory=True,
+                           autotune=True).key(),
+        }
+        assert len(keys) == 4
+        assert LoweringConfig().key() == ("float64", False, False)
 
 
 class TestZeroStateDtypeKey:

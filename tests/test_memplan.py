@@ -13,9 +13,12 @@ The contract under test:
   readout + adjoint, measured with tracemalloc);
 * the autotuner persists winners to a disk cache keyed by the
   environment fingerprint and records decisions in the plan's audit
-  trail, and autotuned kernels produce the same values as the heuristic;
-* the ``memplan`` / ``autotune`` passes gate on their config flags and
-  report fallback reasons when not requested.
+  trail, autotuned kernels produce the same values as the heuristic,
+  and a persisted winner that is no longer a candidate resolves from
+  the recorded timings (or re-benchmarks when none apply);
+* ``plan_memory`` / ``autotune`` gate planned execution and tuning;
+  planned execution without ``plan_memory`` raises, and so does
+  ``autotune`` outside the planned float32 tier.
 """
 
 import json
@@ -37,7 +40,7 @@ from repro.lower import (
     lower_plan,
     plan_buffers,
 )
-from repro.lower.autotune import AUTOTUNE_CACHE_ENV_VAR
+from repro.lower.autotune import AUTOTUNE_CACHE_ENV_VAR, Autotuner
 from repro.torq import Circuit
 
 
@@ -278,44 +281,83 @@ class TestAutotuner:
                                  - pp[1].astype(np.float64))) <= amp_tol
 
     def test_f64_never_tunes(self):
-        qc, params, batch = _mixed_circuit()
-        values = qc.flat_parameter_values(params)
-        gates = qc.gate_sequence()
-        plan = lower_plan(gates, qc.n_qubits, LoweringConfig(
-            precision="float64", plan_memory=True, autotune=True))
-        assert plan.fallbacks.get("autotune") is not None
-        assert not plan.autotune_enabled
-        with no_grad():
-            plan.run_planes(batch, lambda i: values[i])
-        assert all(rec["source"] == "pinned"
-                   for rec in plan.autotune_decisions.values()) or \
-            not plan.autotune_decisions
+        # float64 kernels are pinned for bitwise equality: asking to
+        # tune them is a config error, not a silent skip.
+        with pytest.raises(ValueError, match="float32"):
+            LoweringConfig(precision="float64", plan_memory=True,
+                           autotune=True)
+
+    @staticmethod
+    def _tuner_with_entry(tmp_path, key, entry):
+        path = tmp_path / "autotune.json"
+        tuner = Autotuner(str(path))
+        path.write_text(json.dumps({
+            "fingerprint": tuner.fingerprint,
+            "decisions": {Autotuner._key_str(key): entry},
+        }))
+        return tuner
+
+    def test_stale_winner_uses_best_available_timing(self, tmp_path):
+        key = ("fused_fwd", "const", 8, 5, 1, 2, "float32")
+        tuner = self._tuner_with_entry(tmp_path, key, {
+            "winner": "numba",
+            "timings_ms": {"numba": 0.1, "bcast": 0.5, "cols": 0.3,
+                           "rows": 0.9},
+        })
+        calls = []
+        candidates = {name: (lambda name=name: calls.append(name))
+                      for name in ("bcast", "rows", "cols", "strided")}
+        assert tuner.decide(key, candidates) == "cols"
+        assert calls == []
+
+    def test_stale_winner_without_timing_rebenchmarks(self, tmp_path):
+        key = ("fused_fwd", "batch", 8, 5, 1, 2, "float32")
+        tuner = self._tuner_with_entry(tmp_path, key, {
+            "winner": "numba", "timings_ms": {"numba": 0.1},
+        })
+        calls = []
+        candidates = {name: (lambda name=name: calls.append(name))
+                      for name in ("bcast", "rows")}
+        winner = tuner.decide(key, candidates)
+        assert winner in candidates
+        assert set(calls) == {"bcast", "rows"}
+        entry = tuner.lookup(key)
+        assert entry["winner"] == winner
+        assert set(entry["timings_ms"]) == {"bcast", "rows"}
 
 
 class TestPassGating:
+    """``plan_memory`` and ``autotune`` gate planned execution."""
+
     def test_memplan_not_requested_reports_fallback(self):
         qc, _, _ = _mixed_circuit()
         plan = lower_plan(qc.gate_sequence(), qc.n_qubits, LoweringConfig())
-        assert not plan.memplan_enabled
-        assert plan.fallbacks.get("memplan") == "not requested"
         with pytest.raises(RuntimeError, match="plan_memory"):
             plan.planned_execution(4)
 
     def test_memplan_claims_inplace_steps(self):
-        qc, _, _ = _mixed_circuit()
+        # Every step but unfused gates runs in place; those fall back
+        # to the allocating kernel and are listed as such.
+        qc, params, batch = _mixed_circuit()
+        values = qc.flat_parameter_values(params)
         plan = lower_plan(qc.gate_sequence(), qc.n_qubits,
                           LoweringConfig(plan_memory=True))
-        assert plan.memplan_enabled
-        kinds = {s.kind for s in plan.steps if "memplan" in s.claimed_by}
-        assert kinds <= {"fused_1q", "phase_mask", "permutation"}
-        assert plan.claims["memplan"] > 0
+        with no_grad():
+            plan.run_planes(batch, lambda i: values[i])
+        fallback = plan.memory_report()[batch]["fallback_steps"]
+        assert fallback == [i for i, s in enumerate(plan.steps)
+                            if s.kind == "gate"]
+        assert len(fallback) < len(plan.steps)
 
     def test_config_key_separates_planned_and_autotuned(self):
-        base = LoweringConfig()
-        planned = LoweringConfig(plan_memory=True)
-        tuned = LoweringConfig(plan_memory=True, autotune=True)
+        base = LoweringConfig(precision="float32")
+        planned = LoweringConfig(precision="float32", plan_memory=True)
+        tuned = LoweringConfig(precision="float32", plan_memory=True,
+                               autotune=True)
         keys = {base.key(), planned.key(), tuned.key()}
         assert len(keys) == 3
+        with pytest.raises(ValueError, match="plan_memory"):
+            LoweringConfig(precision="float32", autotune=True)
 
     def test_planned_cache_is_lru_per_batch(self):
         qc, params, batch = _mixed_circuit()
