@@ -1576,11 +1576,25 @@ class CompiledForward:
             except TapeFallback as exc:
                 self._disable(str(exc))
                 return self._direct(arrays)
-            executor.needs_validation = self._validate
             self._cache[key] = executor
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
-            return result[0]
+            # Replay at once and return the replay, not the trace's
+            # define-by-run rows: those can differ from every later replay
+            # in the last ulp (row-stable kernels sum in another order).
+            # The trace's output is the validation reference.
+            traced = result[0]
+            try:
+                out, _grads, _aux = executor.replay(arrays)
+            except Exception as exc:  # correctness first: any replay error reverts
+                self._disable(f"replay error: {exc}")
+                return traced
+            if self._validate:
+                err = self._check(out, traced, self._precision != "float64")
+                if err > self._tolerance(executor):
+                    self._disable("forward replay mismatch vs define-by-run")
+                    return traced
+            return out
         self._cache.move_to_end(key)
         self._count("hits")
         try:
@@ -1588,14 +1602,6 @@ class CompiledForward:
         except Exception as exc:  # correctness first: any replay error reverts
             self._disable(f"replay error: {exc}")
             return self._direct(arrays)
-        if executor.needs_validation:
-            executor.needs_validation = False
-            out = np.array(out, copy=True)
-            direct = self._direct(arrays)
-            err = self._check(out, direct, self._precision != "float64")
-            if err > self._tolerance(executor):
-                self._disable("forward replay mismatch vs define-by-run")
-                return direct
         return out
 
 

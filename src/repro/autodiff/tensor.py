@@ -227,15 +227,25 @@ def make_node(data: np.ndarray, parents: Sequence[tuple[Tensor, VjpFn]]) -> Tens
 # Reverse-mode engine
 # ----------------------------------------------------------------------
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order topological sort of the differentiable graph."""
+def _topo_order(root: Tensor, targets: set[int]) -> tuple[list[Tensor], set[int]]:
+    """Iterative post-order topological sort of the differentiable graph.
+
+    Also returns the ids of the nodes from which a node in ``targets`` is
+    reachable, the targets included: post-order visits every parent
+    before its child, so the same pass decides reachability.
+    """
     order: list[Tensor] = []
     visited: set[int] = set()
+    reaching: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             order.append(node)
+            if id(node) in targets or any(
+                id(p) in reaching for p, _ in node._parents
+            ):
+                reaching.add(id(node))
             continue
         nid = id(node)
         if nid in visited:
@@ -245,7 +255,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         for parent, _ in node._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
-    return order
+    return order, reaching
 
 
 def grad(
@@ -256,6 +266,13 @@ def grad(
     allow_unused: bool = False,
 ) -> list[Tensor]:
     """Compute d(output)/d(input) for every tensor in ``inputs``.
+
+    The reverse sweep walks only the subgraph through which some input is
+    reachable from ``output``, the rule ``torch.autograd.grad`` follows: a
+    parent that leads to no requested input receives no cotangent, so its
+    VJP is never called (and, under ``create_graph=True``, builds no graph
+    nodes).  Cotangents of the requested inputs are the same as from a
+    sweep over the whole graph, accumulated in the same order.
 
     Parameters
     ----------
@@ -303,8 +320,8 @@ def grad(
         raise RuntimeError("output does not require grad; nothing to differentiate")
 
     cotangents: dict[int, Tensor] = {id(output): seed}
-    order = _topo_order(output)
     input_ids = _ids(input_list)
+    order, reaching = _topo_order(output, input_ids)
 
     hook = getattr(_state, "backward_hook", None)
     ctx = enable_grad() if create_graph else no_grad()
@@ -314,8 +331,10 @@ def grad(
             if ct is None:
                 continue
             for parent, vjp in node._parents:
-                contribution = vjp(ct) if hook is None else hook(node, vjp, ct)
                 pid = id(parent)
+                if pid not in reaching:
+                    continue
+                contribution = vjp(ct) if hook is None else hook(node, vjp, ct)
                 existing = cotangents.get(pid)
                 if existing is None:
                     cotangents[pid] = contribution

@@ -14,12 +14,15 @@ Terms:
   mitigates the black-hole failure mode,
 * ``L_tot = L_phys + 10 L_IC + 10 L_sym + 10 L_energy`` (Eq. 26).
 
-Performance: the main collocation set, both mirrored copies, and the
-initial-condition plane are concatenated into *one* batched forward pass
-(one autodiff graph instead of four), and the residuals reuse one set of
-first derivatives obtained with ``create_graph=True`` so the parameter
-gradient flows through them (double backward) exactly as PyTorch would in
-the paper's stack.
+Performance: the derivative-bearing forward runs on the main collocation
+set alone; the mirrored copies and the initial-condition plane share one
+value-only forward.  The residuals reuse one set of first derivatives
+obtained with ``create_graph=True`` so the parameter gradient flows
+through them (double backward) exactly as PyTorch would in the paper's
+stack.  Each of those input-derivative sweeps walks only the part of the
+graph that leads to the coordinates, so it builds no parameter
+cotangents, and the final parameter backward builds none toward the
+coordinates (see :func:`repro.autodiff.grad`).
 """
 
 from __future__ import annotations
@@ -88,6 +91,9 @@ def forward_with_derivatives(model, x: Tensor, y: Tensor, t: Tensor) -> FieldBun
 
     Three reverse passes (one per output field) with ``create_graph=True``
     make every derivative itself differentiable w.r.t. the parameters.
+    Each pass requests only coordinates, so it runs the VJPs on paths to
+    ``x``/``y``/``t`` and none into the parameter leaves; the parameter
+    dependence is carried by the derivative graph it builds.
     """
     ez, hx, hy = model.fields(x, y, t)
     dez_dx, dez_dy, dez_dt = grad(ez.sum(), [x, y, t], create_graph=True, allow_unused=True)

@@ -152,19 +152,17 @@ class FrozenModel:
     def warmup(self, batch_sizes=None) -> tuple[int, ...]:
         """Compile every serving bucket ahead of traffic.
 
-        For the float64 tier each bucket is driven through all four
-        compilation stages (trace, validated replay, frozen-codegen
-        check, steady state); for lowered tiers the planned executions
+        For the float64 tier each bucket is driven through all three
+        compilation stages (trace with its validated first replay,
+        frozen-codegen check, steady state); for lowered tiers the planned executions
         are bound and quantum plans pinned into the TorQ cache so later
         compile traffic cannot evict them.  Returns the warmed buckets.
         """
         buckets = tuple(
             sorted({self.bucket_for(int(b)) for b in batch_sizes})
         ) if batch_sizes else self._bucket_ladder()
-        # Fresh random in-domain rows per pass: if a broken forward ever
-        # folded the inputs into constants, the validated replay pass
-        # would see changing inputs with a frozen answer and revert to
-        # define-by-run instead of serving the constant.
+        # Fresh random in-domain rows per pass, so no stage runs on the
+        # rows the trace saw.
         rng = np.random.default_rng(0)
         with self._lock:
             from ..torq.compile import pin_plan
@@ -173,7 +171,7 @@ class FrozenModel:
                 key = (layer.embedded_gate_sequence(), layer.n_qubits)
                 pin_plan(*key)
                 self._pinned.append(key)
-            passes = 4 if self._compiled is not None else 2
+            passes = 3 if self._compiled is not None else 2
             for bucket in buckets:
                 for _ in range(passes):
                     batch = rng.uniform(

@@ -28,6 +28,7 @@ from .complexnum import ComplexTensor, as_complex, expi
 from .embedding import (
     SCALING_NAMES,
     angle_embedding,
+    angle_product_state,
     scale_input,
     scaling_fn,
     single_qubit_z_response,
@@ -100,6 +101,7 @@ __all__ = [
     "BasicEntanglingLayers", "StronglyEntanglingLayers", "CrossMesh",
     "CrossMesh2Rotations", "CrossMeshCNOT", "NoEntanglement",
     "SCALING_NAMES", "scaling_fn", "scale_input", "angle_embedding",
+    "angle_product_state",
     "single_qubit_z_response",
     "pauli_z_expectations", "sampled_z_expectations", "marginal_probability",
     "pauli_string_expectation",

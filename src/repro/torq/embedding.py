@@ -14,12 +14,14 @@ is what Fig. 3 analyses:
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor, as_tensor
+from .complexnum import ComplexTensor
 from .state import QuantumState, apply_rx
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "scale_input",
     "scaling_fn",
     "angle_embedding",
+    "angle_product_state",
     "single_qubit_z_response",
 ]
 
@@ -83,7 +86,12 @@ def scale_input(name: str, a) -> Tensor:
 
 
 def angle_embedding(state: QuantumState, angles: Tensor) -> QuantumState:
-    """Rotate qubit ``q`` by RX(angles[:, q]) — the paper's data encoding."""
+    """Rotate qubit ``q`` by RX(angles[:, q]) — the paper's data encoding.
+
+    Works on any input state (data re-uploading embeds mid-circuit); to
+    embed into |0…0⟩, :func:`angle_product_state` gives the same state
+    with a much smaller graph.
+    """
     angles = as_tensor(angles)
     if angles.ndim != 2 or angles.shape[1] != state.n_qubits:
         raise ValueError(
@@ -92,6 +100,43 @@ def angle_embedding(state: QuantumState, angles: Tensor) -> QuantumState:
     for q in range(state.n_qubits):
         state = apply_rx(state, q, angles[:, q])
     return state
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_planes(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of (−i)^k over the ``(2,)*n`` basis grid, k = popcount."""
+    k = np.indices((2,) * n_qubits).sum(axis=0) % 4
+    re = np.array([1.0, 0.0, -1.0, 0.0])[k]
+    im = np.array([0.0, -1.0, 0.0, 1.0])[k]
+    re.flags.writeable = False
+    im.flags.writeable = False
+    return re, im
+
+
+def angle_product_state(angles: Tensor) -> QuantumState:
+    """RX(angles[:, q]) applied to every qubit of |0…0⟩, built directly.
+
+    The embedded state is a product state: qubit ``q`` contributes the
+    factor (cos θ_q/2, −i sin θ_q/2), so each amplitude is the real
+    product of one cos or sin per qubit times (−i)^k, k the number of
+    qubits in |1⟩.  Multiplying the factors in qubit order reproduces
+    :func:`angle_embedding` on :func:`~repro.torq.state.zero_state`
+    bitwise, with a few small broadcast products instead of ``n_qubits``
+    full-state gate applications.
+    """
+    angles = as_tensor(angles)
+    if angles.ndim != 2:
+        raise ValueError(f"angles must be (batch, n_qubits), got {angles.shape}")
+    batch, n = angles.shape
+    half = angles * 0.5
+    factors = ad.stack([ad.cos(half), ad.sin(half)], axis=2)  # (batch, n, 2)
+    mag = None
+    for q in range(n):
+        shape = (batch,) + (1,) * q + (2,) + (1,) * (n - 1 - q)
+        f = ad.reshape(factors[:, q], shape)
+        mag = f if mag is None else mag * f
+    re, im = _phase_planes(n)
+    return QuantumState(ComplexTensor(mag * re, mag * im), n)
 
 
 def single_qubit_z_response(name: str, a: np.ndarray) -> np.ndarray:

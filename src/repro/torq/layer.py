@@ -4,9 +4,16 @@ Pipeline per forward pass, batched over all collocation points:
 
     tanh activations (batch, n_qubits)
       → input scaling (Eq. 29)          → rotation angles
-      → |0…0⟩ + RX angle embedding      → data-encoded state
+      → RX angle embedding of |0…0⟩     → data-encoded product state
       → ansatz layers (Fig. 4)          → variational state
       → per-qubit ⟨Z⟩ readout           → (batch, n_qubits) outputs
+
+The embedding is built directly as the outer product of the per-qubit
+(cos θ/2, −i sin θ/2) factors (:func:`~repro.torq.embedding.angle_product_state`)
+rather than by ``n_qubits`` full-state RX gates, and the readout forms
+|ψ|² once and marginalises it per qubit.  Both give the same forward
+values, bit for bit, as the gate-by-gate reference, with a far smaller
+derivative graph.
 
 Everything is differentiable twice, so the layer can sit inside a PINN
 whose loss contains input-derivatives of the network outputs.
@@ -21,7 +28,7 @@ from ..autodiff import Tensor, make_node, no_grad
 from ..nn.module import Module, Parameter
 from .ansatz import Ansatz, GateSpec, apply_ansatz, make_ansatz
 from .compile import compile_gates
-from .embedding import angle_embedding, scale_input
+from .embedding import angle_product_state, scale_input
 from .measure import pauli_z_expectations
 from .state import QuantumState, zero_state
 
@@ -145,8 +152,7 @@ class QuantumLayer(Module):
                 f"got {activations.shape}"
             )
         angles = scale_input(self.scaling, activations)
-        state = zero_state(activations.shape[0], self.n_qubits)
-        state = angle_embedding(state, angles)
+        state = angle_product_state(angles)
         return apply_ansatz(state, self.ansatz, self.params, compiled=self.compiled)
 
     def embedded_gate_sequence(self) -> tuple[GateSpec, ...]:
@@ -207,7 +213,10 @@ class QuantumLayer(Module):
                 final = plan.run(zero_state(batch, n), lambda i: values[i])
                 z_data = pauli_z_expectations(final).data
 
-        memo: dict[int, list] = {}
+        # Both VJPs below share one sweep per cotangent.  The memo holds
+        # the cotangent itself and matches it by identity: an id() key
+        # could be recycled by a later grad() call's cotangent.
+        memo: list = [None, None]
 
         def flat_grads(ct: Tensor) -> list:
             if ad.is_grad_enabled():
@@ -217,20 +226,20 @@ class QuantumLayer(Module):
                     "grad_method='backprop' for create_graph=True (e.g. "
                     "PDE residual losses with input derivatives)"
                 )
-            key = id(ct)
-            if key not in memo:
+            if memo[0] is not ct:
                 w = np.asarray(ct.data, dtype=np.float64)
                 if lowered is not None:
-                    memo[key] = lowered.adjoint_vjp(values, w, planes=planes)
+                    flat = lowered.adjoint_vjp(values, w, planes=planes)
                 elif method == "adjoint":
-                    memo[key] = adjoint_state_vjp(
+                    flat = adjoint_state_vjp(
                         gates, n, values, w, plan=plan, final_state=final
                     )
                 else:
-                    memo[key] = batched_state_shift_vjp(
+                    flat = batched_state_shift_vjp(
                         gates, n, values, w, plan=plan
                     )
-            return memo[key]
+                memo[:] = [ct, flat]
+            return memo[1]
 
         def vjp_angles(ct: Tensor) -> Tensor:
             flat = flat_grads(ct)

@@ -22,26 +22,28 @@ __all__ = [
 ]
 
 
+def _marginal(probs: Tensor, n_qubits: int, qubit: int) -> Tensor:
+    axes = tuple(ax for ax in range(1, n_qubits + 1) if ax != qubit + 1)
+    return ad.tensor_sum(probs, axis=axes) if axes else probs
+
+
 def marginal_probability(state: QuantumState, qubit: int) -> Tensor:
     """Marginal distribution of one qubit, shape ``(batch, 2)``."""
-    probs = state.tensor.abs2()  # (batch, 2, ..., 2)
-    axes = tuple(
-        ax for ax in range(1, state.n_qubits + 1) if ax != qubit + 1
-    )
-    if axes:
-        probs = ad.tensor_sum(probs, axis=axes)
-    return probs
+    # abs2 gives (batch, 2, ..., 2)
+    return _marginal(state.tensor.abs2(), state.n_qubits, qubit)
 
 
 def pauli_z_expectations(state: QuantumState) -> Tensor:
     """Analytic ⟨Z_q⟩ for every qubit, shape ``(batch, n_qubits)``.
 
     ⟨Z⟩ = P(qubit = 0) − P(qubit = 1); local observables, as emphasised in
-    the paper's barren-plateau discussion.
+    the paper's barren-plateau discussion.  |ψ|² is formed once and
+    marginalised per qubit.
     """
+    probs = state.tensor.abs2()
     outputs = []
     for q in range(state.n_qubits):
-        marg = marginal_probability(state, q)
+        marg = _marginal(probs, state.n_qubits, q)
         outputs.append(marg[:, 0] - marg[:, 1])
     return ad.stack(outputs, axis=1)
 

@@ -201,6 +201,60 @@ class TestGradFunction:
         np.testing.assert_allclose(g.data, [1.0])
 
 
+class TestPrunedSweep:
+    """grad() walks only the subgraph that leads to the requested inputs."""
+
+    @staticmethod
+    def _net(rng):
+        x = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+        w1 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        w2 = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        y = ad.tanh(x @ w1 + b) @ w2
+        return x, [w1, b, w2], (y * y * x[:, :1]).sum()
+
+    @staticmethod
+    def _sweep(out, inputs, create_graph):
+        """grad() with a hook recording the parent each VJP call feeds."""
+        from repro.autodiff import tensor as tensor_mod
+
+        fed = []
+
+        def hook(node, vjp, ct):
+            fed.extend(p for p, fn in node._parents if fn is vjp)
+            return vjp(ct)
+
+        tensor_mod.set_backward_hook(hook)
+        try:
+            grads = grad(out, inputs, create_graph=create_graph)
+        finally:
+            tensor_mod.set_backward_hook(None)
+        return grads, fed
+
+    @pytest.mark.parametrize("create_graph", [False, True])
+    def test_input_only_grad_is_bitwise_and_calls_no_parameter_vjp(
+        self, create_graph
+    ):
+        x, params, out = self._net(np.random.default_rng(0))
+        full, fed_full = self._sweep(out, [x, *params], create_graph)
+        (gx,), fed_x = self._sweep(out, [x], create_graph)
+        assert np.array_equal(gx.data, full[0].data)
+        assert sum(any(t is p for p in params) for t in fed_full) == 3
+        assert not any(t is p for t in fed_x for p in params)
+        # Apart from those three, the pruned sweep runs the same VJPs.
+        assert len(fed_x) == len(fed_full) - 3
+
+    def test_interior_input_stops_the_sweep(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        h = a * a
+        out = (h * 3.0).sum()
+        (gh,) = grad(out, [h])
+        np.testing.assert_allclose(gh.data, [3.0, 3.0])
+        gh2, ga = grad(out, [h, a])
+        assert np.array_equal(gh2.data, gh.data)
+        np.testing.assert_allclose(ga.data, [6.0, 12.0])
+
+
 class TestBackward:
     def test_accumulates_into_grad(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -245,3 +245,38 @@ class TestTotalLoss:
         loss = MaxwellLoss(phys_variant="split", mirror_x=False, mirror_y=True)
         _, comps = loss(self._small_model(), grid)
         assert "sym" in comps
+
+
+def test_qpinn_objective_graph_node_count(monkeypatch):
+    """Structural guard on the size of the QPINN derivative graph.
+
+    Counts the interior graph nodes one small curriculum QPINN Maxwell
+    objective and its parameter backward build.  The count holds only
+    while the input-derivative sweeps build no parameter cotangents and
+    the circuit embeds its inputs as a product state; a change to the
+    graph's size must update it on purpose.
+    """
+    from repro.autodiff import backward
+    from repro.core import get_case
+    from repro.core.models import build_model
+
+    case = get_case("vacuum")
+    model = build_model("strongly_entangling", t_max=case.t_max,
+                        rng=np.random.default_rng(0), n_qubits=3,
+                        n_layers=1, hidden=6, rff_features=4)
+    loss = case.make_loss(use_energy=True,
+                          curriculum=TemporalCurriculum(ramp_epochs=2))
+    grid = case.make_grid(4)
+    built = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self._parents:
+            built.append(1)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    total, _ = loss(model, grid, 0)
+    backward(total, model.parameters())
+    monkeypatch.undo()
+    assert len(built) == 1007

@@ -83,6 +83,25 @@ def test_roundtrip_maxwell_qpinn(tmp_path, rng):
     loaded.unpin()
 
 
+def test_cold_rows_equal_warmed_rows():
+    # The first call on a bucket traces it; it must already return the
+    # row-stable replay every later call returns, not the trace's own
+    # define-by-run rows (those differ in the last ulp for the paper
+    # model's widths).
+    from repro.core.models import MaxwellQPINN
+
+    model = MaxwellQPINN(rng=np.random.default_rng(2))
+    warm = frozen_from_live(model, min_batch=8, max_batch=32)
+    warm.warmup()
+    rng = np.random.default_rng(3)
+    for rows in (7, 29):  # buckets 8 and 32
+        pts = rng.uniform(-1, 1, size=(rows, 3))
+        cold = frozen_from_live(model, min_batch=8, max_batch=32)
+        assert np.array_equal(cold.predict(pts), warm.predict(pts)), rows
+        assert cold._compiled.disabled is None
+    warm.unpin()
+
+
 def test_bundle_meta_contents(tmp_path):
     model = make_model()
     path = serve.freeze_model(model, tmp_path / "m.rqb",

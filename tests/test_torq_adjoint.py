@@ -191,6 +191,26 @@ class TestLayerBackends:
             for got, want in zip(results[method], ref):
                 np.testing.assert_allclose(got, want, atol=1e-8, rtol=0)
 
+    @pytest.mark.parametrize("method", ["adjoint", "parameter_shift"])
+    def test_repeated_grads_through_one_output_are_fresh(self, method):
+        # Both VJPs of the layer share one sweep per cotangent; a memo
+        # keyed on id(ct) could hand a later grad() call, whose cotangent
+        # reuses a freed id, the earlier call's gradients.
+        layer = QuantumLayer(
+            n_qubits=3, n_layers=1, ansatz="basic_entangling",
+            scaling="acos", rng=np.random.default_rng(0), grad_method=method,
+        )
+        a = Tensor(np.random.default_rng(1).uniform(-0.9, 0.9, (4, 3)),
+                   requires_grad=True)
+        out = layer(a)
+        for trial in range(29):
+            k = 2.0 + trial
+            scaled = grad((out * k).sum(), [a, layer.params])
+            plain = grad(out.sum(), [a, layer.params])
+            for gk, g in zip(scaled, plain):
+                np.testing.assert_allclose(gk.data, k * g.data,
+                                           rtol=1e-12, atol=1e-12)
+
     def test_pde_trainer_wires_grad_method(self):
         from repro.pde.model import GenericPINN
         from repro.pde.problems import PoissonProblem

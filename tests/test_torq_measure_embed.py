@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from repro import torq
 from repro.autodiff import Tensor
+from repro.autodiff.gradcheck import check_double_grad, check_grad
 from repro.torq import (
     SCALING_NAMES,
     angle_embedding,
+    angle_product_state,
     marginal_probability,
     pauli_z_expectations,
     sampled_z_expectations,
@@ -133,6 +135,72 @@ class TestAngleEmbedding:
     def test_zero_angles_identity(self):
         state = angle_embedding(zero_state(2, 3), Tensor(np.zeros((2, 3))))
         np.testing.assert_allclose(state.numpy()[:, 0], 1.0)
+
+
+class TestAngleProductState:
+    """The product-state embedding against the gate-by-gate RX loop."""
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 7])
+    @pytest.mark.parametrize("low, high", [(0.0, np.pi), (-np.pi, np.pi),
+                                           (-7.0, 7.0)])
+    def test_forward_bitwise_equals_rx_loop(self, rng, n_qubits, low, high):
+        angles = rng.uniform(low, high, (17, n_qubits))
+        ref = angle_embedding(zero_state(17, n_qubits), Tensor(angles))
+        got = angle_product_state(Tensor(angles))
+        assert got.tensor.shape == ref.tensor.shape
+        assert np.array_equal(got.tensor.re.data, ref.tensor.re.data)
+        assert np.array_equal(got.tensor.im.data, ref.tensor.im.data)
+        assert np.array_equal(pauli_z_expectations(got).data,
+                              pauli_z_expectations(ref).data)
+
+    def test_matches_dense_reference(self, rng):
+        from repro.torq.ansatz import GateSpec
+        from repro.torq.reference import run_gates, z_expectations_dense
+
+        n = 4
+        angles = rng.uniform(-np.pi, np.pi, (5, n))
+        gates = [GateSpec("rx", (q,), (q,)) for q in range(n)]
+        dense = run_gates(gates, [angles[:, q] for q in range(n)], n, batch=5)
+        state = angle_product_state(Tensor(angles))
+        np.testing.assert_allclose(state.numpy(), dense, atol=1e-14)
+        np.testing.assert_allclose(pauli_z_expectations(state).data,
+                                   z_expectations_dense(dense, n), atol=1e-14)
+
+    @staticmethod
+    def _readout(angles):
+        state = angle_product_state(angles)
+        w = np.linspace(-1.0, 1.0, state.tensor.re.size).reshape(
+            state.tensor.shape)
+        amps = (state.tensor.re * w + state.tensor.im * w[::-1]).sum()
+        return (pauli_z_expectations(state) ** 2).sum() + amps
+
+    def test_gradcheck(self, rng):
+        check_grad(self._readout, [rng.uniform(-2.0, 2.0, (3, 3))])
+
+    def test_gradgradcheck(self, rng):
+        check_double_grad(self._readout, [rng.uniform(-2.0, 2.0, (2, 3))])
+
+    def test_rejects_non_batched_angles(self):
+        with pytest.raises(ValueError):
+            angle_product_state(Tensor(np.zeros(3)))
+
+
+class TestSingleProbabilityReadout:
+    @pytest.mark.parametrize("n_qubits", [1, 2, 5, 7])
+    def test_bitwise_equals_per_qubit_marginals(self, rng, n_qubits):
+        from repro.torq.state import apply_cnot, apply_ry
+
+        state = angle_embedding(zero_state(9, n_qubits),
+                                Tensor(rng.uniform(0, np.pi, (9, n_qubits))))
+        for q in range(n_qubits):
+            state = apply_ry(state, q, float(rng.uniform(0, 2 * np.pi)))
+        for q in range(n_qubits - 1):
+            state = apply_cnot(state, q, q + 1)
+        ref = np.stack([
+            (lambda m: m[:, 0] - m[:, 1])(marginal_probability(state, q).data)
+            for q in range(n_qubits)
+        ], axis=1)
+        assert np.array_equal(pauli_z_expectations(state).data, ref)
 
 
 class TestPauliStringExpectation:

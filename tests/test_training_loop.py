@@ -40,11 +40,14 @@ GOLDEN = {
         "grad_norm": ["0x1.77f9e1de18677p+8", "0x1.a3424037c209ap+7",
                       "0x1.7046b6374c163p+7", "0x1.ff145c8adb5dcp+6"],
     },
+    # Re-recorded when QuantumLayer switched to the product-state
+    # embedding and the single-|psi|^2 readout: same forward values, a
+    # smaller derivative graph that sums in another order.
     "maxwell_qpinn": {
-        "loss": ["0x1.5c36ff75521c8p+4", "0x1.af3f89a3ce1b8p+4",
-                 "0x1.0af4e1ea5d7c7p+5", "0x1.f9c1a486819ccp+4"],
-        "grad_norm": ["0x1.11d67687ce126p+7", "0x1.610ee6195ca4dp+7",
-                      "0x1.b7c59a6764bf7p+7", "0x1.9cf551b8e06cap+7"],
+        "loss": ["0x1.5c36ff75521c8p+4", "0x1.af3f89a3ce1bfp+4",
+                 "0x1.0af4e1ea5d7c2p+5", "0x1.f9c1a486819cbp+4"],
+        "grad_norm": ["0x1.11d67687ce127p+7", "0x1.610ee6195ca51p+7",
+                      "0x1.b7c59a6764bedp+7", "0x1.9cf551b8e06c8p+7"],
     },
     "pde_schrodinger": {
         "loss": ["0x1.94cab400a099ap+2", "0x1.c12fccc434274p+3",
@@ -53,6 +56,17 @@ GOLDEN = {
     "maxwell3d": {
         "loss": ["0x1.9eb50f3599aadp+5", "0x1.944c3d2ab8fb8p+5",
                  "0x1.9b4fd768edf89p+5", "0x1.913342d9c6722p+5"],
+    },
+}
+
+# The maxwell_qpinn series before that re-record, from the gate-by-gate
+# embedding; the drift from it stays pinned at relative 1e-12.
+GOLDEN_BEFORE = {
+    "maxwell_qpinn": {
+        "loss": ["0x1.5c36ff75521c8p+4", "0x1.af3f89a3ce1b8p+4",
+                 "0x1.0af4e1ea5d7c7p+5", "0x1.f9c1a486819ccp+4"],
+        "grad_norm": ["0x1.11d67687ce126p+7", "0x1.610ee6195ca4dp+7",
+                      "0x1.b7c59a6764bf7p+7", "0x1.9cf551b8e06cap+7"],
     },
 }
 
@@ -107,6 +121,11 @@ def test_golden_history_bitwise(name, run, golden):
     got = run()
     for series, expected in GOLDEN[golden].items():
         assert [float(v).hex() for v in got[series]] == expected, series
+    for series, before in GOLDEN_BEFORE.get(golden, {}).items():
+        np.testing.assert_allclose(
+            got[series], [float.fromhex(h) for h in before], rtol=1e-12,
+            atol=0, err_msg=series,
+        )
 
 
 def tiny_maxwell(reference=None, **kw):
